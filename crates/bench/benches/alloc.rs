@@ -1,12 +1,9 @@
-//! E3 hot path: the Fig. 3 allocation algorithm, plus the fast-path
-//! machinery layered on top of it: branch-and-bound fairness pruning,
-//! structural path caching (warm-cache replay vs live search), and
-//! parallel batch allocation across independent domains.
+//! E3 hot path: the Fig. 3 allocation algorithm and its branch-and-bound
+//! fairness pruning. Every allocator uses the RM's shipped search
+//! parameters with only the exploration mode changed.
 
-use arm_bench::{domain_problem, large_problem, medium_problem};
-use arm_model::alloc::{AllocParams, AllocatorKind, ExplorationMode, FairnessAllocator};
-use arm_model::enumerate_structural_paths;
-use arm_sim::{allocate_batch, AllocJob};
+use arm_bench::{domain_problem, large_problem, medium_problem, rm_allocator};
+use arm_model::alloc::{AllocatorKind, ExplorationMode, FairnessAllocator};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -18,13 +15,7 @@ fn bench_alloc(c: &mut Criterion) {
             ("all_simple_paths", ExplorationMode::AllSimplePaths),
             ("global_visited", ExplorationMode::GlobalVisited),
         ] {
-            let allocator = FairnessAllocator {
-                params: AllocParams {
-                    mode,
-                    ..AllocParams::default()
-                },
-                kind: AllocatorKind::MaxFairness,
-            };
+            let allocator = rm_allocator(mode);
             g.bench_function(format!("{name}/{mode_name}"), |b| {
                 b.iter(|| {
                     black_box(allocator.allocate(
@@ -58,14 +49,7 @@ fn bench_alloc_scale(c: &mut Criterion) {
             ("exhaustive", ExplorationMode::AllSimplePaths),
             ("bnb", ExplorationMode::BranchAndBound),
         ] {
-            let allocator = FairnessAllocator {
-                params: AllocParams {
-                    mode,
-                    max_explored: 2_000_000,
-                    ..AllocParams::default()
-                },
-                kind: AllocatorKind::MaxFairness,
-            };
+            let allocator = rm_allocator(mode);
             g.bench_function(format!("p{peers}_b{branching}/{mode_name}"), |b| {
                 b.iter(|| {
                     black_box(allocator.allocate(
@@ -83,75 +67,5 @@ fn bench_alloc_scale(c: &mut Criterion) {
     g.finish();
 }
 
-/// Warm-cache steady state: replaying a cached structural path set vs a
-/// full live search, on the pinned 64-peer / branching-4 domain.
-fn bench_alloc_cache(c: &mut Criterion) {
-    let mut g = c.benchmark_group("alloc_cache");
-    let (gr, view, init, goal, qos) = domain_problem(64, 4, 7);
-    let allocator = FairnessAllocator {
-        params: AllocParams {
-            max_explored: 2_000_000,
-            ..AllocParams::default()
-        },
-        kind: AllocatorKind::MaxFairness,
-    };
-    let pruned = FairnessAllocator {
-        params: AllocParams {
-            mode: ExplorationMode::BranchAndBound,
-            max_explored: 2_000_000,
-            ..AllocParams::default()
-        },
-        kind: AllocatorKind::MaxFairness,
-    };
-    let sp = enumerate_structural_paths(&gr, init, &[goal], qos.max_hops, 2_000_000)
-        .expect("pinned bench graph has feasible structural paths");
-    g.bench_function("p64_b4/live_search", |b| {
-        b.iter(|| black_box(allocator.allocate(&gr, &view, init, &[goal], &qos, None)))
-    });
-    g.bench_function("p64_b4/warm_replay", |b| {
-        b.iter(|| black_box(allocator.allocate_from_paths(&gr, &view, &sp, &qos, None)))
-    });
-    g.bench_function("p64_b4/warm_replay_bnb", |b| {
-        b.iter(|| black_box(pruned.allocate_from_paths(&gr, &view, &sp, &qos, None)))
-    });
-    g.finish();
-}
-
-/// Parallel batch allocation over independent domains: 1 thread vs 4.
-fn bench_alloc_batch(c: &mut Criterion) {
-    let mut g = c.benchmark_group("alloc_batch");
-    let domains: Vec<_> = (0..8).map(|s| domain_problem(64, 4, 100 + s)).collect();
-    let jobs: Vec<AllocJob<'_>> = domains
-        .iter()
-        .map(|(gr, view, init, goal, qos)| AllocJob {
-            graph: gr,
-            view,
-            init: *init,
-            goals: std::slice::from_ref(goal),
-            qos,
-        })
-        .collect();
-    let allocator = FairnessAllocator {
-        params: AllocParams {
-            mode: ExplorationMode::BranchAndBound,
-            max_explored: 2_000_000,
-            ..AllocParams::default()
-        },
-        kind: AllocatorKind::MaxFairness,
-    };
-    for threads in [1usize, 4] {
-        g.bench_function(format!("8_domains/t{threads}"), |b| {
-            b.iter(|| black_box(allocate_batch(&allocator, &jobs, threads)))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_alloc,
-    bench_alloc_scale,
-    bench_alloc_cache,
-    bench_alloc_batch
-);
+criterion_group!(benches, bench_alloc, bench_alloc_scale);
 criterion_main!(benches);

@@ -8,11 +8,26 @@
 
 #![warn(missing_docs)]
 
+use arm_core::ProtocolConfig;
+use arm_model::alloc::{AllocatorKind, ExplorationMode, FairnessAllocator};
 use arm_model::{
     Codec, MediaFormat, PeerInfo, PeerView, QosSpec, Resolution, ResourceGraph, ServiceCost,
     StateId,
 };
 use arm_util::{DetRng, NodeId, ServiceId, SimDuration};
+
+/// The fairness allocator with the RM's shipped search parameters
+/// (`ProtocolConfig::default().alloc_params`, prefix cap included) and
+/// only the exploration `mode` changed, so the benches measure the search
+/// the RM runs.
+pub fn rm_allocator(mode: ExplorationMode) -> FairnessAllocator {
+    let mut params = ProtocolConfig::default().alloc_params;
+    params.mode = mode;
+    FairnessAllocator {
+        params,
+        kind: AllocatorKind::MaxFairness,
+    }
+}
 
 /// A mid-size layered allocation problem: ~26 states, 16 peers.
 pub fn medium_problem() -> (ResourceGraph, PeerView, StateId, StateId, QosSpec) {
@@ -30,12 +45,12 @@ pub fn large_problem() -> (ResourceGraph, PeerView, StateId, StateId, QosSpec) {
     (gr, view, init, goal, qos)
 }
 
-/// A domain-scale allocation problem for the branch-and-bound / path-cache
-/// benches: a fully-connected 6-layer conversion graph whose interior
-/// width is `branching`, with every logical conversion offered by two
-/// different peers (parallel service edges — the regime where duplicate
-/// prefixes arise and dominance collapse pays off), over a `peers`-sized
-/// domain with uneven load.
+/// A domain-scale allocation problem for the branch-and-bound benches: a
+/// fully-connected 6-layer conversion graph whose interior width is
+/// `branching`, with every logical conversion offered by two different
+/// peers (parallel service edges — the regime where duplicate prefixes
+/// arise and dominance collapse pays off), over a `peers`-sized domain
+/// with uneven load.
 ///
 /// Deterministic in `seed`; interior width `branching` keeps the state
 /// count ≤ `4 * branching + 2`, so the u128 visited bitmap (and with it

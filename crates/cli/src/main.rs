@@ -266,20 +266,12 @@ fn simulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Rates derived from the raw counters: allocator cache effectiveness,
-/// trace-ring eviction pressure, and per-message-kind handler latency
-/// quantiles from the profiler's `handle_seconds{kind=...}` histograms.
+/// Rates derived from the raw counters: trace-ring eviction pressure and
+/// per-message-kind handler latency quantiles from the profiler's
+/// `handle_seconds{kind=...}` histograms.
 fn print_derived_rates(report: &arm_sim::SimReport, snapshot: &arm_telemetry::MetricsSnapshot) {
     println!();
     println!("derived rates:");
-    let lookups = report.alloc.cache_hits + report.alloc.cache_misses;
-    if lookups > 0 {
-        println!(
-            "  alloc cache hit      {:.1}% ({} of {lookups} lookups)",
-            report.alloc.cache_hits as f64 / lookups as f64 * 100.0,
-            report.alloc.cache_hits
-        );
-    }
     let recorded: u64 = report.trace_counts.values().sum();
     if recorded > 0 {
         println!(

@@ -6,16 +6,44 @@
 //! piece independently testable.
 
 use crate::config::ProtocolConfig;
-use crate::pathcache::{AllocMetrics, CacheLookup, PathCache};
-use arm_model::alloc::{AllocError, Allocation, ExplorationMode, FairnessAllocator};
+use arm_model::alloc::{AllocError, Allocation, FairnessAllocator};
 use arm_model::{
     MediaObject, PeerInfo, PeerView, ResourceGraph, ServiceGraph, ServiceSpec, TaskSpec,
 };
 use arm_profiler::LoadReport;
 use arm_proto::{DomainSummary, RmCandidacy, RmSnapshot};
 use arm_util::{BloomFilter, DetRng, DomainId, NodeId, SessionId, SimTime};
+use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Per-RM cumulative allocator efficiency counters, surfaced through
+/// telemetry as `alloc_*` metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct AllocMetrics {
+    /// Prefixes dequeued across all allocation runs.
+    pub explored_prefixes: u64,
+    /// Prefixes discarded by the branch-and-bound admissible bound.
+    pub pruned_bound: u64,
+    /// Prefixes collapsed by dominance.
+    pub pruned_dominated: u64,
+    /// Always 0: every allocation runs the live search. Kept so that
+    /// readers of the counter set (the repository benchmark) still build.
+    pub cache_hits: u64,
+    /// Always 0, like [`AllocMetrics::cache_hits`].
+    pub cache_misses: u64,
+}
+
+impl AllocMetrics {
+    /// Accumulates another counter set into this one.
+    pub fn merge(&mut self, other: &AllocMetrics) {
+        self.explored_prefixes += other.explored_prefixes;
+        self.pruned_bound += other.pruned_bound;
+        self.pruned_dominated += other.pruned_dominated;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+    }
+}
 
 /// A running (or composing) session tracked by the RM.
 #[derive(Debug, Clone)]
@@ -94,11 +122,8 @@ pub struct RmState {
     /// Monotone version of this domain's inventory (bumped on join/leave/
     /// advertise; stamps summaries and snapshots).
     pub version: u64,
-    /// Structural path cache: topology-dependent feasible-path sets reused
-    /// across allocations, invalidated by resource-graph epoch bumps.
-    pub path_cache: PathCache,
-    /// Cumulative allocator efficiency counters (explored/pruned prefixes,
-    /// cache hits/misses), exported through telemetry.
+    /// Cumulative allocator efficiency counters (explored and pruned
+    /// prefixes), exported through telemetry.
     pub alloc_metrics: AllocMetrics,
     next_session: u64,
 }
@@ -136,7 +161,6 @@ impl RmState {
             known_rms: BTreeMap::new(),
             summaries: BTreeMap::new(),
             version: 1,
-            path_cache: PathCache::default(),
             alloc_metrics: AllocMetrics::default(),
             next_session: 1,
         }
@@ -240,9 +264,6 @@ impl RmState {
             known_rms: BTreeMap::new(),
             summaries: BTreeMap::new(),
             version: snap.version + 1,
-            // The snapshot's graph restarts its epoch sequence, so cached
-            // path sets from before the failover must not carry over.
-            path_cache: PathCache::default(),
             alloc_metrics: AllocMetrics::default(),
             next_session: 1,
         }
@@ -407,9 +428,8 @@ impl RmState {
     /// using the configured objective. Returns the allocation plus the
     /// source peer holding the object.
     ///
-    /// Takes `&mut self` to maintain the structural path cache and the
-    /// cumulative [`AllocMetrics`]; the view, graph and session table are
-    /// never modified.
+    /// Takes `&mut self` to maintain the cumulative [`AllocMetrics`]; the
+    /// view, graph and session table are never modified.
     pub fn allocate_task(
         &mut self,
         task: &TaskSpec,
@@ -452,40 +472,8 @@ impl RmState {
             params: cfg.alloc_params.clone(),
             kind,
         };
-        // The cached replay is answer-identical (bit for bit) only for the
-        // exhaustive candidate set, which AllSimplePaths produces directly
-        // and BranchAndBound provably selects from; order-sensitive
-        // truncating modes always run live.
-        let cacheable = cfg.alloc_cache
-            && matches!(
-                cfg.alloc_params.mode,
-                ExplorationMode::AllSimplePaths | ExplorationMode::BranchAndBound
-            );
-        let alloc = if cacheable {
-            let (lookup, sp) = self.path_cache.lookup(
-                &self.graph,
-                init,
-                &goals,
-                task.qos.max_hops,
-                cfg.alloc_params.max_explored,
-            );
-            match lookup {
-                CacheLookup::Hit => self.alloc_metrics.cache_hits += 1,
-                CacheLookup::Miss => self.alloc_metrics.cache_misses += 1,
-                CacheLookup::Unusable => {}
-            }
-            match sp {
-                Some(sp) => {
-                    allocator.allocate_from_paths(&self.graph, &self.view, sp, &task.qos, Some(rng))
-                }
-                None => {
-                    allocator.allocate(&self.graph, &self.view, init, &goals, &task.qos, Some(rng))
-                }
-            }
-        } else {
-            allocator.allocate(&self.graph, &self.view, init, &goals, &task.qos, Some(rng))
-        };
-        let alloc = alloc?;
+        let alloc =
+            allocator.allocate(&self.graph, &self.view, init, &goals, &task.qos, Some(rng))?;
         self.alloc_metrics.explored_prefixes += alloc.stats.explored_prefixes;
         self.alloc_metrics.pruned_bound += alloc.stats.pruned_bound;
         self.alloc_metrics.pruned_dominated += alloc.stats.pruned_dominated;
@@ -697,11 +685,11 @@ mod tests {
         )
     }
 
-    pub(super) fn transcoder(id: u64, input: MediaFormat, output: MediaFormat) -> ServiceSpec {
+    fn transcoder(id: u64, input: MediaFormat, output: MediaFormat) -> ServiceSpec {
         ServiceSpec::transcoder(ServiceId::new(id), input, output, 5.0)
     }
 
-    pub(super) fn basic_task(id: u64, name: &str) -> TaskSpec {
+    fn basic_task(id: u64, name: &str) -> TaskSpec {
         TaskSpec {
             id: TaskId::new(id),
             name: name.into(),
@@ -716,7 +704,7 @@ mod tests {
 
     /// Builds an RM with 3 members, an object on peer 1 and a transcoder
     /// chain 1→2 able to serve `basic_task`.
-    pub(super) fn populated_rm() -> RmState {
+    fn populated_rm() -> RmState {
         let mut s = rm();
         s.admit_member(candidacy(1, 100.0, 10_000, 1000.0), SimTime::ZERO);
         s.admit_member(candidacy(2, 80.0, 8_000, 500.0), SimTime::ZERO);
@@ -1119,14 +1107,26 @@ mod tests {
         let (holder, _) = s.find_object("trailer").unwrap();
         assert_eq!(holder, NodeId::new(2));
     }
-}
 
-#[cfg(test)]
-mod cache_tests {
-    use super::tests::{basic_task, populated_rm, transcoder};
-    use super::*;
-    use crate::pathcache::CacheLookup;
-    use arm_model::{Codec, MediaFormat, Resolution};
+    #[test]
+    fn metrics_merge() {
+        let mut m = AllocMetrics {
+            explored_prefixes: 1,
+            pruned_bound: 2,
+            pruned_dominated: 3,
+            cache_hits: 4,
+            cache_misses: 5,
+        };
+        m.merge(&AllocMetrics {
+            explored_prefixes: 10,
+            pruned_bound: 10,
+            pruned_dominated: 10,
+            cache_hits: 10,
+            cache_misses: 10,
+        });
+        assert_eq!(m.explored_prefixes, 11);
+        assert_eq!(m.cache_misses, 15);
+    }
 
     fn assert_same_alloc(a: &(Allocation, NodeId), b: &(Allocation, NodeId)) {
         assert_eq!(a.0.path, b.0.path);
@@ -1141,104 +1141,12 @@ mod cache_tests {
     }
 
     #[test]
-    fn repeated_allocations_hit_the_cache() {
-        let mut s = populated_rm();
-        let cfg = ProtocolConfig::default();
-        let task = basic_task(1, "trailer");
-        let mut rng = DetRng::new(1);
-        s.allocate_task(&task, &cfg, &mut rng).unwrap();
-        assert_eq!(s.alloc_metrics.cache_misses, 1);
-        s.allocate_task(&task, &cfg, &mut rng).unwrap();
-        s.allocate_task(&task, &cfg, &mut rng).unwrap();
-        assert_eq!(s.alloc_metrics.cache_hits, 2);
-        assert_eq!(s.alloc_metrics.cache_misses, 1);
-        assert!(s.alloc_metrics.explored_prefixes > 0);
-    }
-
-    #[test]
-    fn cached_allocation_matches_uncached_across_interleaved_mutations() {
-        // Two identical RMs, one with the cache disabled. Interleave
-        // topology mutations (new services → epoch bumps) and load churn;
-        // every allocation must stay bit-identical.
-        let mut cached = populated_rm();
-        let mut live = populated_rm();
-        let cfg = ProtocolConfig::default();
-        let cfg_nocache = ProtocolConfig {
-            alloc_cache: false,
-            ..ProtocolConfig::default()
-        };
-        let task = basic_task(1, "trailer");
-
-        for round in 0u64..6 {
-            let mut r1 = DetRng::new(100 + round);
-            let mut r2 = DetRng::new(100 + round);
-            let a = cached.allocate_task(&task, &cfg, &mut r1).unwrap();
-            let b = live.allocate_task(&task, &cfg_nocache, &mut r2).unwrap();
-            assert_same_alloc(&a, &b);
-
-            match round % 3 {
-                0 => {
-                    // Structural mutation: a parallel transcoder instance
-                    // on another peer (epoch bump → cache invalidation).
-                    let spec = transcoder(
-                        100 + round,
-                        MediaFormat::paper_source(),
-                        MediaFormat::new(Codec::Mpeg2, Resolution::VGA, 256),
-                    );
-                    cached.register_inventory(NodeId::new(2), &[], std::slice::from_ref(&spec));
-                    live.register_inventory(NodeId::new(2), &[], &[spec]);
-                }
-                1 => {
-                    // Load-only mutation: must NOT invalidate the cache.
-                    let before = cached.alloc_metrics.cache_misses;
-                    cached.view.add_load(NodeId::new(1), 7.5);
-                    live.view.add_load(NodeId::new(1), 7.5);
-                    let mut r3 = DetRng::new(999);
-                    cached.allocate_task(&task, &cfg, &mut r3).unwrap();
-                    assert_eq!(
-                        cached.alloc_metrics.cache_misses, before,
-                        "load change must not re-enumerate"
-                    );
-                    let mut r4 = DetRng::new(999);
-                    live.allocate_task(&task, &cfg_nocache, &mut r4).unwrap();
-                }
-                _ => {
-                    cached.view.add_load(NodeId::new(2), -3.0);
-                    live.view.add_load(NodeId::new(2), -3.0);
-                }
-            }
-        }
-        assert!(cached.alloc_metrics.cache_hits >= 1);
-        assert!(
-            cached.alloc_metrics.cache_misses >= 2,
-            "epoch bumps re-enumerate"
-        );
-    }
-
-    #[test]
-    fn cache_disabled_config_never_populates_cache() {
-        let mut s = populated_rm();
-        let cfg = ProtocolConfig {
-            alloc_cache: false,
-            ..ProtocolConfig::default()
-        };
-        let task = basic_task(1, "trailer");
-        let mut rng = DetRng::new(1);
-        s.allocate_task(&task, &cfg, &mut rng).unwrap();
-        assert!(s.path_cache.is_empty());
-        assert_eq!(s.alloc_metrics.cache_hits + s.alloc_metrics.cache_misses, 0);
-    }
-
-    #[test]
     fn bnb_mode_through_rm_matches_exhaustive() {
         let mut a = populated_rm();
         let mut b = populated_rm();
         // The default config is already BranchAndBound; pin the exhaustive
-        // reference explicitly. Cache off isolates the live searches.
-        let mut cfg_full = ProtocolConfig {
-            alloc_cache: false,
-            ..ProtocolConfig::default()
-        };
+        // reference explicitly.
+        let mut cfg_full = ProtocolConfig::default();
         cfg_full.alloc_params.mode = arm_model::ExplorationMode::AllSimplePaths;
         let mut cfg_bnb = cfg_full.clone();
         cfg_bnb.alloc_params.mode = arm_model::ExplorationMode::BranchAndBound;
@@ -1251,18 +1159,5 @@ mod cache_tests {
             .unwrap();
         assert_same_alloc(&ra, &rb);
         assert!(b.alloc_metrics.explored_prefixes <= a.alloc_metrics.explored_prefixes);
-    }
-
-    #[test]
-    fn lookup_outcomes_are_exposed() {
-        // Direct PathCache sanity through the RM's graph.
-        let mut s = populated_rm();
-        let init = s.graph.state_of(MediaFormat::paper_source()).unwrap();
-        let goal = s.graph.state_of(MediaFormat::paper_target()).unwrap();
-        let (out, sp) = s.path_cache.lookup(&s.graph, init, &[goal], None, 10_000);
-        assert_eq!(out, CacheLookup::Miss);
-        assert!(sp.is_some());
-        let (out, _) = s.path_cache.lookup(&s.graph, init, &[goal], None, 10_000);
-        assert_eq!(out, CacheLookup::Hit);
     }
 }

@@ -61,9 +61,8 @@ pub struct ResourceGraph {
     edges: Vec<ResourceEdge>,
     out: Vec<Vec<EdgeId>>,
     /// Bumped on every *structural* change (vertex interned, edge added,
-    /// peer removed) — never on load/session updates. Cached derived data
-    /// (e.g. the RM's path-structure cache) is valid exactly while the
-    /// epoch it was computed at still matches.
+    /// peer removed) — never on load/session updates. Derived data is
+    /// valid exactly while the epoch it was computed at still matches.
     epoch: u64,
 }
 

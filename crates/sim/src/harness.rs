@@ -690,7 +690,7 @@ impl Simulation {
         self.report.wall_ms = started.elapsed().as_millis() as u64;
         self.report.events_processed = self.sim.processed();
         self.report.max_queue_depth = self.sim.max_queue_depth() as u64;
-        // Allocator efficiency: sum search/cache counters over the RMs
+        // Allocator efficiency: sum search counters over the RMs
         // still alive (counters of crashed RMs die with them, like every
         // other piece of in-node state).
         let mut alloc_totals = arm_core::AllocMetrics::default();
@@ -708,9 +708,6 @@ impl Simulation {
                     .add("alloc_pruned_bound", labels, m.pruned_bound);
                 self.recorder
                     .add("alloc_pruned_dominated", labels, m.pruned_dominated);
-                self.recorder.add("alloc_cache_hits", labels, m.cache_hits);
-                self.recorder
-                    .add("alloc_cache_misses", labels, m.cache_misses);
             }
         }
         self.report.alloc = alloc_totals;
@@ -949,11 +946,6 @@ mod tests {
         assert!(
             report.alloc.explored_prefixes > 0,
             "allocations ran: {:?}",
-            report.alloc
-        );
-        assert!(
-            report.alloc.cache_hits + report.alloc.cache_misses > 0,
-            "path cache consulted: {:?}",
             report.alloc
         );
         let explored: u64 = metrics

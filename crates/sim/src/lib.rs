@@ -26,6 +26,6 @@ mod scenario;
 pub(crate) mod sync;
 
 pub use harness::Simulation;
-pub use parallel::{allocate_batch, run_parallel, AllocJob};
+pub use parallel::run_parallel;
 pub use report::{OutcomeCounts, SimReport};
 pub use scenario::ScenarioConfig;

@@ -8,8 +8,8 @@
 //! exported as serialisable [`HealthStatus`] rows for the status wire.
 //!
 //! Rules read series only through [`SeriesStore::window_sum`], which
-//! aligns labelled series by sample seq — so e.g. the allocator cache rule
-//! sums hits across all domains without caring how many RMs exist.
+//! aligns labelled series by sample seq — so a rule over a per-domain
+//! metric sums it across all domains without caring how many RMs exist.
 
 use serde::{Deserialize, Serialize};
 
@@ -61,19 +61,6 @@ pub enum Predicate {
         /// Ticks the rate is averaged over.
         window: usize,
     },
-    /// Fires when `metric / (metric + other)` over the growth in the last
-    /// `window` samples drops below `threshold`, once at least
-    /// `min_events` events accumulated in the window (hit-rate collapse).
-    RatioBelow {
-        /// The complementary counter (e.g. misses to the rule's hits).
-        other: &'static str,
-        /// Ratio below which the rule fires.
-        threshold: f64,
-        /// Ticks the ratio is computed over.
-        window: usize,
-        /// Combined in-window events required before judging.
-        min_events: f64,
-    },
 }
 
 impl Predicate {
@@ -82,8 +69,7 @@ impl Predicate {
         match self {
             Predicate::Above { threshold, .. }
             | Predicate::Below { threshold, .. }
-            | Predicate::RateAbove { threshold, .. }
-            | Predicate::RatioBelow { threshold, .. } => *threshold,
+            | Predicate::RateAbove { threshold, .. } => *threshold,
         }
     }
 }
@@ -131,26 +117,6 @@ impl HealthRule {
                 let rate = (w.last().unwrap() - w.first().unwrap()) / (w.len() - 1) as f64;
                 Some((rate > threshold, rate))
             }
-            Predicate::RatioBelow {
-                other,
-                threshold,
-                window,
-                min_events,
-            } => {
-                let hits = store.window_sum(self.metric, self.kind, window + 1);
-                let misses = store.window_sum(other, self.kind, window + 1);
-                if hits.len() < 2 || misses.len() < 2 {
-                    return None;
-                }
-                let dh = hits.last().unwrap() - hits.first().unwrap();
-                let dm = misses.last().unwrap() - misses.first().unwrap();
-                let total = dh + dm;
-                if total < min_events {
-                    return None;
-                }
-                let ratio = dh / total;
-                Some((ratio < threshold, ratio))
-            }
         }
     }
 }
@@ -161,7 +127,7 @@ impl HealthRule {
 pub struct HealthThresholds {
     /// Consecutive ticks a level test must hold before firing.
     pub sustain: usize,
-    /// Window (ticks) for rate and ratio rules.
+    /// Window (ticks) for rate rules.
     pub window: usize,
     /// RM silence (seconds) beyond which the RM counts as stale.
     pub rm_silence_secs: f64,
@@ -169,10 +135,6 @@ pub struct HealthThresholds {
     pub gossip_age_secs: f64,
     /// Queue depth beyond which the mailbox/DES queue counts saturated.
     pub queue_depth: f64,
-    /// Allocator cache hit rate below which the cache has collapsed.
-    pub cache_hit_rate: f64,
-    /// Cache lookups required in-window before the ratio rule judges.
-    pub min_cache_events: f64,
     /// Link reconnects per tick beyond which links count as flapping.
     pub link_flap_rate: f64,
 }
@@ -185,15 +147,13 @@ impl Default for HealthThresholds {
             rm_silence_secs: 5.0,
             gossip_age_secs: 30.0,
             queue_depth: 10_000.0,
-            cache_hit_rate: 0.1,
-            min_cache_events: 50.0,
             link_flap_rate: 1.0,
         }
     }
 }
 
 /// The standard rule set from the issue: election stalled, RM / gossip
-/// staleness, queue saturation, cache hit-rate collapse, link flapping.
+/// staleness, queue saturation, link flapping.
 pub fn standard_rules(t: &HealthThresholds) -> Vec<HealthRule> {
     vec![
         HealthRule {
@@ -234,18 +194,6 @@ pub fn standard_rules(t: &HealthThresholds) -> Vec<HealthRule> {
             predicate: Predicate::Above {
                 threshold: t.queue_depth,
                 sustain: t.sustain,
-            },
-        },
-        HealthRule {
-            name: "cache_collapse",
-            metric: "alloc_cache_hits",
-            kind: SeriesKind::Counter,
-            reason: "allocator path-cache hit rate collapsed",
-            predicate: Predicate::RatioBelow {
-                other: "alloc_cache_misses",
-                threshold: t.cache_hit_rate,
-                window: t.window,
-                min_events: t.min_cache_events,
             },
         },
         HealthRule {
@@ -413,35 +361,6 @@ mod tests {
             eval.statuses().len(),
             standard_rules(&Default::default()).len()
         );
-    }
-
-    #[test]
-    fn ratio_rule_waits_for_min_events_then_detects_collapse() {
-        let mut reg = MetricsRegistry::new();
-        let mut store = SeriesStore::new(32);
-        let mut eval = HealthEvaluator::new(vec![HealthRule {
-            name: "cache_collapse",
-            metric: "alloc_cache_hits",
-            kind: SeriesKind::Counter,
-            reason: "collapse",
-            predicate: Predicate::RatioBelow {
-                other: "alloc_cache_misses",
-                threshold: 0.5,
-                window: 4,
-                min_events: 10.0,
-            },
-        }]);
-        reg.add("alloc_cache_hits", Labels::NONE, 1);
-        reg.add("alloc_cache_misses", Labels::NONE, 1);
-        tick(&mut store, &reg, 0);
-        tick(&mut store, &reg, 1);
-        assert!(eval.evaluate(&store).is_empty(), "below min_events");
-        reg.add("alloc_cache_misses", Labels::NONE, 50);
-        tick(&mut store, &reg, 2);
-        let edges = eval.evaluate(&store);
-        assert_eq!(edges.len(), 1);
-        assert!(edges[0].firing);
-        assert!(edges[0].value < 0.5);
     }
 
     #[test]
