@@ -2,7 +2,7 @@
 //! fairness pruning. Every allocator uses the RM's shipped search
 //! parameters with only the exploration mode changed.
 
-use arm_bench::{domain_problem, large_problem, medium_problem, rm_allocator};
+use arm_bench::{domain_problem, large_problem, medium_problem, plateau_problem, rm_allocator};
 use arm_model::alloc::{AllocatorKind, ExplorationMode, FairnessAllocator};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -39,18 +39,25 @@ fn bench_alloc(c: &mut Criterion) {
 }
 
 /// Branch-and-bound vs exhaustive enumeration across domain scales
-/// (peers) and graph branching factors.
+/// (peers) and graph branching factors, plus the idle 32-peer tie plateau
+/// that dominates the `sim-alloc` benchmark.
 fn bench_alloc_scale(c: &mut Criterion) {
     let mut g = c.benchmark_group("alloc_scale");
     let shapes: &[(usize, usize)] = &[(16, 4), (64, 2), (64, 4), (64, 6), (256, 4)];
-    for &(peers, branching) in shapes {
-        let (gr, view, init, goal, qos) = domain_problem(peers, branching, 7);
+    let problems = shapes
+        .iter()
+        .map(|&(p, b)| (format!("p{p}_b{b}"), domain_problem(p, b, 7)))
+        .chain(std::iter::once((
+            "idle_p32_t5".to_string(),
+            plateau_problem(32, 5, 7),
+        )));
+    for (name, (gr, view, init, goal, qos)) in problems {
         for (mode_name, mode) in [
             ("exhaustive", ExplorationMode::AllSimplePaths),
             ("bnb", ExplorationMode::BranchAndBound),
         ] {
             let allocator = rm_allocator(mode);
-            g.bench_function(format!("p{peers}_b{branching}/{mode_name}"), |b| {
+            g.bench_function(format!("{name}/{mode_name}"), |b| {
                 b.iter(|| {
                     black_box(allocator.allocate(
                         black_box(&gr),

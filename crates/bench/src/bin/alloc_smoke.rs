@@ -1,11 +1,13 @@
 //! Allocator fast-path smoke benchmark.
 //!
-//! Runs the pinned domain scenarios from the `alloc` bench group once with
-//! wall-clock timing, verifies the answer-identity and search-efficiency
-//! contracts of branch-and-bound, and writes the results to
-//! `BENCH_alloc.json` (wall time *and* explored-prefix counters, unlike
-//! the criterion export which only has wall time). Both searches use the
-//! RM's shipped search parameters, prefix cap included.
+//! Runs the pinned domain scenarios from the `alloc` bench group, plus the
+//! idle 32-peer tie-plateau row (`idle_p32_t5`, the shape that dominates
+//! the `sim-alloc` benchmark), once with wall-clock timing, verifies the
+//! answer-identity and search-efficiency contracts of branch-and-bound,
+//! and writes the results to `BENCH_alloc.json` (wall time *and*
+//! explored-prefix counters, unlike the criterion export which only has
+//! wall time). Both searches use the RM's shipped search parameters,
+//! prefix cap included.
 //!
 //! ```text
 //! alloc_smoke [--out PATH] [--baseline PATH]
@@ -21,8 +23,9 @@
 //! branch-and-bound) and >= 3x steady-state speedup (the branch-and-bound
 //! search the RM runs on every allocation vs the exhaustive search).
 
-use arm_bench::{domain_problem, rm_allocator};
+use arm_bench::{domain_problem, plateau_problem, rm_allocator};
 use arm_model::alloc::{Allocation, ExplorationMode};
+use arm_model::{PeerView, QosSpec, ResourceGraph, StateId};
 use serde::Serialize;
 use std::time::{Duration, Instant};
 
@@ -39,6 +42,8 @@ const MIN_STEADY_SPEEDUP: f64 = 3.0;
 struct ScenarioRow {
     scenario: String,
     peers: usize,
+    /// Graph width: `domain_problem`'s interior width, or the transcoders
+    /// per peer of the plateau row.
     branching: usize,
     explored_exhaustive: u64,
     explored_bnb: u64,
@@ -87,9 +92,13 @@ fn assert_identical(scenario: &str, a: &Allocation, b: &Allocation) {
     assert_eq!(a.load_deltas, b.load_deltas, "{scenario}: deltas differ");
 }
 
-fn run_scenario(peers: usize, branching: usize, seed: u64) -> ScenarioRow {
-    let scenario = format!("p{peers}_b{branching}");
-    let (gr, view, init, goal, qos) = domain_problem(peers, branching, seed);
+fn run_scenario(
+    scenario: String,
+    peers: usize,
+    branching: usize,
+    problem: (ResourceGraph, PeerView, StateId, StateId, QosSpec),
+) -> ScenarioRow {
+    let (gr, view, init, goal, qos) = problem;
     let exhaustive = rm_allocator(ExplorationMode::AllSimplePaths);
     let bnb = rm_allocator(ExplorationMode::BranchAndBound);
 
@@ -138,12 +147,20 @@ fn main() {
     }
 
     let shapes: &[(usize, usize)] = &[(16, 4), (64, 4), (64, 6), (256, 4)];
-    let scenarios: Vec<ScenarioRow> = shapes
+    let rows = shapes
         .iter()
-        .map(|&(p, b)| {
-            let row = run_scenario(p, b, 7);
+        .map(|&(p, b)| (format!("p{p}_b{b}"), p, b, domain_problem(p, b, 7)))
+        .chain(std::iter::once((
+            "idle_p32_t5".to_string(),
+            32,
+            5,
+            plateau_problem(32, 5, 7),
+        )));
+    let scenarios: Vec<ScenarioRow> = rows
+        .map(|(name, p, b, problem)| {
+            let row = run_scenario(name, p, b, problem);
             println!(
-                "{:>8}: explored {:>6} -> {:>5} ({:>5.1}x)  wall {:>9}ns -> {:>8}ns ({:.1}x steady)",
+                "{:>11}: explored {:>6} -> {:>5} ({:>5.1}x)  wall {:>9}ns -> {:>8}ns ({:.1}x steady)",
                 row.scenario,
                 row.explored_exhaustive,
                 row.explored_bnb,

@@ -45,6 +45,47 @@ pub fn large_problem() -> (ResourceGraph, PeerView, StateId, StateId, QosSpec) {
     (gr, view, init, goal, qos)
 }
 
+/// The tie-plateau shape that dominates the `sim-alloc` benchmark: an
+/// idle `peers`-peer domain where every peer offers `transcoders`
+/// transcoders drawn by the workload generator over the default five-rung
+/// ladder, so each ladder step has many parallel edges on distinct peers
+/// and thousands of complete paths share a bit-identical fairness. The
+/// request runs from the top rung to the fourth, whose whole plateau the
+/// exhaustive search enumerates within the RM's prefix cap (a request to
+/// the bottom rung exceeds it).
+pub fn plateau_problem(
+    peers: usize,
+    transcoders: usize,
+    seed: u64,
+) -> (ResourceGraph, PeerView, StateId, StateId, QosSpec) {
+    let cfg = arm_workload::WorkloadConfig {
+        transcoders_per_peer: transcoders,
+        ..arm_workload::WorkloadConfig::default()
+    };
+    let ids: Vec<NodeId> = (0..peers as u64).map(NodeId::new).collect();
+    let inventories = arm_workload::generate_inventories(&ids, &cfg, &DetRng::new(seed));
+    let mut gr = ResourceGraph::new();
+    for f in &cfg.formats {
+        gr.intern_state(*f);
+    }
+    let mut view = PeerView::new();
+    for (peer, inventory) in &inventories {
+        for s in &inventory.services {
+            gr.add_service(s.input, s.output, *peer, s.id, s.cost);
+        }
+        view.upsert(*peer, PeerInfo::idle(100.0, 10_000));
+    }
+    let rung = |i: usize| {
+        cfg.formats
+            .get(i)
+            .and_then(|f| gr.state_of(*f))
+            .expect("ladder rung interned")
+    };
+    let (init, goal) = (rung(0), rung(3));
+    let qos = QosSpec::with_deadline(SimDuration::from_secs(8));
+    (gr, view, init, goal, qos)
+}
+
 /// A domain-scale allocation problem for the branch-and-bound benches: a
 /// fully-connected 6-layer conversion graph whose interior width is
 /// `branching`, with every logical conversion offered by two different

@@ -225,6 +225,10 @@ fn simulate(flags: &BTreeMap<String, String>) -> Result<(), String> {
         report.redirects
     );
     println!(
+        "allocator            {} prefixes explored, {} searches truncated at the cap",
+        report.alloc.explored_prefixes, report.alloc.truncated
+    );
+    println!(
         "simulated in         {} ms ({} events)",
         report.wall_ms, report.events_processed
     );

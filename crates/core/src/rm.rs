@@ -27,6 +27,10 @@ pub struct AllocMetrics {
     pub pruned_bound: u64,
     /// Prefixes collapsed by dominance.
     pub pruned_dominated: u64,
+    /// Allocations whose search hit the prefix cap
+    /// (`AllocParams::max_explored`), so the returned path may not be
+    /// the fairness argmax.
+    pub truncated: u64,
     /// Always 0: every allocation runs the live search. Kept so that
     /// readers of the counter set (the repository benchmark) still build.
     pub cache_hits: u64,
@@ -40,6 +44,7 @@ impl AllocMetrics {
         self.explored_prefixes += other.explored_prefixes;
         self.pruned_bound += other.pruned_bound;
         self.pruned_dominated += other.pruned_dominated;
+        self.truncated += other.truncated;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
     }
@@ -477,6 +482,7 @@ impl RmState {
         self.alloc_metrics.explored_prefixes += alloc.stats.explored_prefixes;
         self.alloc_metrics.pruned_bound += alloc.stats.pruned_bound;
         self.alloc_metrics.pruned_dominated += alloc.stats.pruned_dominated;
+        self.alloc_metrics.truncated += u64::from(alloc.truncated);
         Ok((alloc, source))
     }
 
@@ -1114,6 +1120,7 @@ mod tests {
             explored_prefixes: 1,
             pruned_bound: 2,
             pruned_dominated: 3,
+            truncated: 6,
             cache_hits: 4,
             cache_misses: 5,
         };
@@ -1121,10 +1128,12 @@ mod tests {
             explored_prefixes: 10,
             pruned_bound: 10,
             pruned_dominated: 10,
+            truncated: 10,
             cache_hits: 10,
             cache_misses: 10,
         });
         assert_eq!(m.explored_prefixes, 11);
+        assert_eq!(m.truncated, 16);
         assert_eq!(m.cache_misses, 15);
     }
 

@@ -42,6 +42,7 @@ use crate::qos::QosSpec;
 use crate::resource_graph::{EdgeId, ResourceGraph, StateId};
 use arm_util::{fairness_upper_bound, DetRng, FairnessTracker, NodeId, SimDuration};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 
 /// How the path space is explored.
@@ -247,6 +248,11 @@ struct PathNode {
     /// Bitmap of visited vertices when the graph has ≤ 128 states
     /// (otherwise 0, and cycle checks walk the chain instead).
     visited: u128,
+    /// Bitmap of the peer indices the prefix uses when the domain has
+    /// ≤ 64 peers (otherwise 0). Two prefixes with bit-identical
+    /// profiles use the same peers, so a differing mask rules out
+    /// dominance before any profile is materialised.
+    peers: u64,
 }
 
 /// True when `v` already lies on the prefix ending at `node`.
@@ -350,19 +356,33 @@ fn apply_hop(profile: &mut Vec<(usize, f64, u32)>, pi: usize, work: f64, bw: u32
     }
 }
 
-/// `path(a) ≤ path(parent(b) + edge(b))` lexicographically — the
-/// tiebreak order used by candidate selection.
-fn path_lex_le(
-    arena: &[PathNode],
-    a: u32,
-    b_parent: u32,
-    b_edge: EdgeId,
-    chain: &mut Vec<u32>,
-) -> bool {
-    let pa = collect_path(arena, a, chain);
-    let mut pb = collect_path(arena, b_parent, chain);
-    pb.push(b_edge);
-    pa <= pb
+/// Orders the edge sequences of the prefixes ending at `a` and `b` by
+/// (length, lexicographic) — the selection tiebreak — without
+/// materialising either. Equal-length chains are walked up in lockstep
+/// until they meet; the differing hop closest to the root decides.
+fn cmp_len_lex(arena: &[PathNode], mut a: u32, mut b: u32) -> Ordering {
+    let (Some(na), Some(nb)) = (arena.get(a as usize), arena.get(b as usize)) else {
+        return Ordering::Equal;
+    };
+    let mut ord = na.len.cmp(&nb.len);
+    if ord != Ordering::Equal {
+        return ord;
+    }
+    while a != b {
+        let (Some(na), Some(nb)) = (arena.get(a as usize), arena.get(b as usize)) else {
+            break;
+        };
+        if na.parent == NONE_IDX || nb.parent == NONE_IDX {
+            break; // the root carries no hop
+        }
+        let hop = na.edge.cmp(&nb.edge);
+        if hop != Ordering::Equal {
+            ord = hop;
+        }
+        a = na.parent;
+        b = nb.parent;
+    }
+    ord
 }
 
 /// Dominance test: may the prospective child be dropped because an
@@ -372,6 +392,10 @@ fn path_lex_le(
 /// child is then also a completion of the stored prefix with the same
 /// fairness, no worse feasibility, and a selection-preferred path — so
 /// dropping the child can never change the chosen allocation.
+///
+/// Entries sharing the key have the same vertex set and hence the same
+/// hop count, so the edge-sequence order is decided by the parents'
+/// chains and then the last hop.
 fn is_dominated(
     arena: &[PathNode],
     entries: &[u32],
@@ -384,7 +408,7 @@ fn is_dominated(
         let Some(s) = arena.get(si as usize) else {
             continue;
         };
-        if s.est_secs > child.est_secs {
+        if s.peers != child.peers || s.est_secs > child.est_secs {
             continue;
         }
         collect_profile(arena, si, chain, profile2);
@@ -399,7 +423,8 @@ fn is_dominated(
                 continue 'entries;
             }
         }
-        if path_lex_le(arena, si, child.parent, child.edge, chain) {
+        let order = cmp_len_lex(arena, s.parent, child.parent).then(s.edge.cmp(&child.edge));
+        if order != Ordering::Greater {
             return true;
         }
     }
@@ -419,7 +444,6 @@ struct BnbCtx {
     /// Base loads ascending, paired with their peer index.
     sorted_base: Vec<(f64, u32)>,
     // Reusable scratch, so per-prefix bound evaluation allocates nothing.
-    merged: Vec<f64>,
     news: Vec<f64>,
     marked: Vec<bool>,
 }
@@ -481,7 +505,6 @@ impl BnbCtx {
             h_cap,
             num_states,
             sorted_base,
-            merged: Vec::with_capacity(loads.len()),
             news: Vec::new(),
             marked: vec![false; loads.len()],
         }
@@ -527,6 +550,7 @@ impl BnbCtx {
         let mut sum = tracker.total();
         let mut sum_sq = tracker.total_sq();
         self.news.clear();
+        let mut superseded = 0usize;
         for &(i, w, _) in profile {
             let old = loads.get(i).copied().unwrap_or(0.0);
             let new = old + w;
@@ -535,39 +559,77 @@ impl BnbCtx {
             self.news.push(new);
             if let Some(m) = self.marked.get_mut(i) {
                 *m = true;
+                superseded += 1;
             }
         }
         // … and splice the changed loads into the presorted base order
-        // (O(n + k log k) instead of re-sorting n loads per prefix).
+        // lazily: the water-fill stops reading at the water line, so a
+        // prefix costs O(k log k) plus the loads below that line instead
+        // of a pass over all n.
         self.news.sort_by(|a, b| a.total_cmp(b));
-        self.merged.clear();
-        let mut next_new = 0usize;
-        for &(v, pi) in &self.sorted_base {
-            if self.marked.get(pi as usize).copied().unwrap_or(false) {
-                continue; // superseded by its updated value
-            }
-            while let Some(&nv) = self.news.get(next_new) {
-                if nv <= v {
-                    self.merged.push(nv);
-                    next_new += 1;
-                } else {
-                    break;
-                }
-            }
-            self.merged.push(v);
-        }
-        while let Some(&nv) = self.news.get(next_new) {
-            self.merged.push(nv);
-            next_new += 1;
-        }
+        let spliced = Spliced {
+            base: &self.sorted_base,
+            marked: &self.marked,
+            news: &self.news,
+            remaining: self.sorted_base.len().saturating_sub(superseded) + self.news.len(),
+        };
+        let bound = fairness_upper_bound(spliced, sum, sum_sq, budget);
         for &(i, _, _) in profile {
             if let Some(m) = self.marked.get_mut(i) {
                 *m = false;
             }
         }
-        fairness_upper_bound(&self.merged, sum, sum_sq, budget)
+        bound
     }
 }
+
+/// The base loads in ascending order with the marked peers' loads
+/// replaced by the updated ones in `news` (also ascending), merged on the
+/// fly: the same sequence an eager merge would build, produced only as
+/// far as it is read.
+struct Spliced<'a> {
+    base: &'a [(f64, u32)],
+    marked: &'a [bool],
+    news: &'a [f64],
+    remaining: usize,
+}
+
+impl Iterator for Spliced<'_> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        // Skip base loads superseded by their updated value.
+        while let Some((&(_, pi), rest)) = self.base.split_first() {
+            if !self.marked.get(pi as usize).copied().unwrap_or(false) {
+                break;
+            }
+            self.base = rest;
+        }
+        let v = match (self.news.split_first(), self.base.split_first()) {
+            (Some((&nv, rest)), Some((&(v, _), _))) if nv <= v => {
+                self.news = rest;
+                nv
+            }
+            (_, Some((&(v, _), rest))) => {
+                self.base = rest;
+                v
+            }
+            (Some((&nv, rest)), None) => {
+                self.news = rest;
+                nv
+            }
+            (None, None) => return None,
+        };
+        self.remaining = self.remaining.saturating_sub(1);
+        Some(v)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Spliced<'_> {}
 
 /// A frontier entry for the heap-ordered exploration modes.
 struct BestEntry {
@@ -612,6 +674,12 @@ impl Frontier {
             Frontier::Best(h, _) => h.pop().map(|e| (e.node, e.priority)),
         }
     }
+    fn len(&self) -> usize {
+        match self {
+            Frontier::Fifo(q) => q.len(),
+            Frontier::Best(h, _) => h.len(),
+        }
+    }
     fn push(&mut self, node: u32, priority: f64) {
         match self {
             Frontier::Fifo(q) => q.push_back(node),
@@ -627,94 +695,46 @@ impl Frontier {
     }
 }
 
-/// A scored path that reached a goal, in candidate-discovery order.
-struct Candidate {
-    path: Vec<EdgeId>,
+/// A scored prefix that reached a goal: everything selection compares,
+/// as plain data. The edge sequence stays in the arena, and the path and
+/// load deltas are materialised once, for the winner.
+#[derive(Clone, Copy)]
+struct Scored {
+    node: u32,
     fairness: f64,
-    est_secs: f64,
-    work: Vec<(NodeId, f64)>,
+    /// Resulting maximum utilization ([`AllocatorKind::LeastLoaded`] only).
     max_util: f64,
+    /// Total sustained work ([`AllocatorKind::MinWork`] only).
     total_work: f64,
 }
 
-/// Applies the per-objective selection rule to the candidate set and
-/// builds the final [`Allocation`]. All tiebreaks are deterministic:
-/// shorter path first, then lexicographically smaller edge sequence.
-fn select_candidate(
-    kind: AllocatorKind,
-    rng: Option<&mut DetRng>,
-    mut candidates: Vec<Candidate>,
-    explored: usize,
-    truncated: bool,
-    mut stats: AllocStats,
-) -> Result<Allocation, AllocError> {
-    if candidates.is_empty() {
-        return Err(AllocError::NoFeasiblePath { explored });
-    }
-    let better_tiebreak = |a: &Candidate, b: &Candidate| -> bool {
-        (a.path.len(), &a.path) < (b.path.len(), &b.path)
-    };
-    let chosen: usize = match kind {
-        AllocatorKind::MaxFairness => {
-            // Exact comparison (not epsilon-fuzzed): `total_cmp` is a
-            // total order, so the winner is independent of candidate
-            // discovery order — which is what lets BranchAndBound prune
-            // the frontier without ever changing the answer.
-            let mut best = 0;
-            for i in 1..candidates.len() {
-                let (a, b) = (&candidates[i], &candidates[best]);
-                match a.fairness.total_cmp(&b.fairness) {
-                    std::cmp::Ordering::Greater => best = i,
-                    std::cmp::Ordering::Equal if better_tiebreak(a, b) => best = i,
-                    _ => {}
-                }
-            }
-            best
-        }
-        AllocatorKind::FirstFeasible => 0,
-        AllocatorKind::Random => match rng {
-            Some(rng) => rng.index(candidates.len()),
-            // Graceful deterministic fallback instead of panicking:
-            // without an RNG, "random" degrades to first-feasible.
-            None => 0,
+/// The per-objective selection rule, applied to candidates as they are
+/// discovered: `true` when `a` replaces the running winner `b`. All
+/// tiebreaks are deterministic: shorter path first, then the
+/// lexicographically smaller edge sequence. `FirstFeasible` keeps the
+/// first candidate; `Random` draws among all of them after the search.
+fn replaces(kind: AllocatorKind, arena: &[PathNode], a: &Scored, b: &Scored) -> bool {
+    let better_tiebreak = || cmp_len_lex(arena, a.node, b.node) == Ordering::Less;
+    match kind {
+        // Exact comparison (not epsilon-fuzzed): `total_cmp` is a total
+        // order, so the winner is independent of candidate discovery
+        // order — which is what lets BranchAndBound prune the frontier
+        // without ever changing the answer.
+        AllocatorKind::MaxFairness => match a.fairness.total_cmp(&b.fairness) {
+            Ordering::Greater => true,
+            Ordering::Equal => better_tiebreak(),
+            Ordering::Less => false,
         },
         AllocatorKind::LeastLoaded => {
-            let mut best = 0;
-            for i in 1..candidates.len() {
-                let (a, b) = (&candidates[i], &candidates[best]);
-                if a.max_util < b.max_util - 1e-12
-                    || ((a.max_util - b.max_util).abs() <= 1e-12 && better_tiebreak(a, b))
-                {
-                    best = i;
-                }
-            }
-            best
+            a.max_util < b.max_util - 1e-12
+                || ((a.max_util - b.max_util).abs() <= 1e-12 && better_tiebreak())
         }
         AllocatorKind::MinWork => {
-            let mut best = 0;
-            for i in 1..candidates.len() {
-                let (a, b) = (&candidates[i], &candidates[best]);
-                if a.total_work < b.total_work - 1e-12
-                    || ((a.total_work - b.total_work).abs() <= 1e-12 && better_tiebreak(a, b))
-                {
-                    best = i;
-                }
-            }
-            best
+            a.total_work < b.total_work - 1e-12
+                || ((a.total_work - b.total_work).abs() <= 1e-12 && better_tiebreak())
         }
-    };
-
-    stats.explored_prefixes = explored as u64;
-    let c = candidates.swap_remove(chosen);
-    Ok(Allocation {
-        path: c.path,
-        fairness: c.fairness,
-        est_response: SimDuration::from_secs_f64(c.est_secs),
-        load_deltas: c.work,
-        explored,
-        truncated,
-        stats,
-    })
+        AllocatorKind::FirstFeasible | AllocatorKind::Random => false,
+    }
 }
 
 impl FairnessAllocator {
@@ -802,6 +822,8 @@ impl FairnessAllocator {
         }
         let is_goal =
             |v: StateId| -> bool { use_bitmap && goal_mask >> v.0 & 1 == 1 || goals.contains(&v) };
+        // The per-prefix peer-set mask only fits domains with ≤ 64 peers.
+        let use_peer_mask = ids.len() <= 64;
 
         let mut bnb = if mode == ExplorationMode::BranchAndBound {
             Some(BnbCtx::new(
@@ -825,10 +847,14 @@ impl FairnessAllocator {
         let mut arena: Vec<PathNode> = Vec::with_capacity(256);
         let mut chain: Vec<u32> = Vec::new();
         let mut profile: Vec<(usize, f64, u32)> = Vec::new();
+        let mut parent_profile: Vec<(usize, f64, u32)> = Vec::new();
         let mut profile2: Vec<(usize, f64, u32)> = Vec::new();
         let mut deltas: Vec<(usize, f64)> = Vec::new();
 
-        let mut candidates: Vec<Candidate> = Vec::new();
+        // The running winner, updated as candidates are discovered;
+        // `Random` instead keeps every candidate to draw from at the end.
+        let mut winner: Option<Scored> = None;
+        let mut candidates: Vec<Scored> = Vec::new();
         let mut explored = 0usize;
         let mut truncated = false;
 
@@ -848,20 +874,25 @@ impl FairnessAllocator {
             len: 0,
             est_secs: 0.0,
             visited: if use_bitmap { 1u128 << init.0 } else { 0 },
+            peers: 0,
         });
         queue.push(0, 1.0);
         let mut visited_global = vec![false; num_states]; // GlobalVisited mode only
 
         while let Some((ni, prio)) = queue.pop() {
+            // Re-check against the incumbent at dequeue: the bound was
+            // computed at push time and the incumbent may have risen since.
+            // The frontier pops in descending bound order, so once the top
+            // is prunable every remaining entry is too: count them all and
+            // stop. Checked before the cap, so a search whose remaining
+            // frontier is entirely prunable is complete, not truncated.
+            if mode == ExplorationMode::BranchAndBound && prio < incumbent - PRUNE_MARGIN {
+                stats.pruned_bound += 1 + queue.len() as u64;
+                break;
+            }
             if explored >= self.params.max_explored {
                 truncated = true;
                 break;
-            }
-            // Re-check against the incumbent at dequeue: the bound was
-            // computed at push time and the incumbent may have risen since.
-            if mode == ExplorationMode::BranchAndBound && prio < incumbent - PRUNE_MARGIN {
-                stats.pruned_bound += 1;
-                continue;
             }
             explored += 1;
 
@@ -888,26 +919,33 @@ impl FairnessAllocator {
                 deltas.clear();
                 deltas.extend(profile.iter().map(|&(i, w, _)| (i, w)));
                 let fairness = tracker.index_with(&deltas);
-                let max_util = deltas
-                    .iter()
-                    .map(|&(i, w)| match infos.get(i) {
-                        Some(info) if info.capacity > 0.0 => (info.load + w) / info.capacity,
-                        _ => f64::INFINITY,
-                    })
-                    .fold(0.0f64, f64::max);
-                let total_work: f64 = deltas.iter().map(|&(_, w)| w).sum();
-                let work: Vec<(NodeId, f64)> = deltas
-                    .iter()
-                    .filter_map(|&(i, w)| ids.get(i).map(|&n| (n, w)))
-                    .collect();
-                candidates.push(Candidate {
-                    path: collect_path(&arena, ni, &mut chain),
+                let max_util = if self.kind == AllocatorKind::LeastLoaded {
+                    deltas
+                        .iter()
+                        .map(|&(i, w)| match infos.get(i) {
+                            Some(info) if info.capacity > 0.0 => (info.load + w) / info.capacity,
+                            _ => f64::INFINITY,
+                        })
+                        .fold(0.0f64, f64::max)
+                } else {
+                    0.0
+                };
+                let total_work: f64 = if self.kind == AllocatorKind::MinWork {
+                    deltas.iter().map(|&(_, w)| w).sum()
+                } else {
+                    0.0
+                };
+                let scored = Scored {
+                    node: ni,
                     fairness,
-                    est_secs: node.est_secs,
-                    work,
                     max_util,
                     total_work,
-                });
+                };
+                if self.kind == AllocatorKind::Random {
+                    candidates.push(scored);
+                } else if winner.is_none_or(|w| replaces(self.kind, &arena, &scored, &w)) {
+                    winner = Some(scored);
+                }
                 if fairness > incumbent {
                     incumbent = fairness;
                 }
@@ -926,6 +964,14 @@ impl FairnessAllocator {
                 }
             }
 
+            // The heap-ordered modes score every child from the parent's
+            // profile plus one hop; materialise it once per expansion.
+            if matches!(
+                mode,
+                ExplorationMode::BestFirst | ExplorationMode::BranchAndBound
+            ) {
+                collect_profile(&arena, ni, &mut chain, &mut parent_profile);
+            }
             for edge in gr.out_edges(node.vertex) {
                 // Cycle check (simple paths): `to` must not be on the path
                 // (the root vertex `init` is always on it).
@@ -994,6 +1040,11 @@ impl FairnessAllocator {
                     } else {
                         0
                     },
+                    peers: if use_peer_mask {
+                        node.peers | 1u64 << pi
+                    } else {
+                        0
+                    },
                 };
 
                 let mut priority = 0.0;
@@ -1001,14 +1052,14 @@ impl FairnessAllocator {
                     ExplorationMode::BestFirst => {
                         // Greedy ordering heuristic: the fairness of the
                         // domain if the child's work were committed.
-                        collect_profile(&arena, ni, &mut chain, &mut profile);
+                        profile.clone_from(&parent_profile);
                         apply_hop(&mut profile, pi as usize, new_work, new_bw);
                         deltas.clear();
                         deltas.extend(profile.iter().map(|&(i, w, _)| (i, w)));
                         priority = tracker.index_with(&deltas);
                     }
                     ExplorationMode::BranchAndBound => {
-                        collect_profile(&arena, ni, &mut chain, &mut profile);
+                        profile.clone_from(&parent_profile);
                         apply_hop(&mut profile, pi as usize, new_work, new_bw);
                         let Some(ctx) = bnb.as_mut() else {
                             continue;
@@ -1054,7 +1105,31 @@ impl FairnessAllocator {
             }
         }
 
-        select_candidate(self.kind, rng, candidates, explored, truncated, stats)
+        if self.kind == AllocatorKind::Random && !candidates.is_empty() {
+            // Without an RNG, "random" degrades gracefully to
+            // first-feasible instead of panicking.
+            let i = rng.map_or(0, |rng| rng.index(candidates.len()));
+            winner = candidates.get(i).copied();
+        }
+        let Some(chosen) = winner else {
+            return Err(AllocError::NoFeasiblePath { explored });
+        };
+        stats.explored_prefixes = explored as u64;
+        collect_profile(&arena, chosen.node, &mut chain, &mut profile);
+        let load_deltas = profile
+            .iter()
+            .filter_map(|&(i, w, _)| ids.get(i).map(|&n| (n, w)))
+            .collect();
+        let est_secs = arena.get(chosen.node as usize).map_or(0.0, |n| n.est_secs);
+        Ok(Allocation {
+            path: collect_path(&arena, chosen.node, &mut chain),
+            fairness: chosen.fairness,
+            est_response: SimDuration::from_secs_f64(est_secs),
+            load_deltas,
+            explored,
+            truncated,
+            stats,
+        })
     }
 }
 
@@ -1891,6 +1966,47 @@ mod bnb_tests {
             bnb.stats.pruned_bound > 0,
             "bound pruning never fired on a dense graph"
         );
+    }
+
+    #[test]
+    fn dominance_collapses_parallel_hops_on_one_peer() {
+        // Two identical service instances a→b on the same peer give two
+        // prefixes at b with the same vertex set, peers, profile and
+        // estimate: the second is dominated by the first.
+        let mut gr = ResourceGraph::new();
+        let fmt = |k: u32| MediaFormat::new(Codec::H264, Resolution::new(100 + k as u16, 100), k);
+        let (a, b, c) = (
+            gr.intern_state(fmt(1)),
+            gr.intern_state(fmt(2)),
+            gr.intern_state(fmt(3)),
+        );
+        let cost = ServiceCost {
+            work_per_sec: 2.0,
+            setup_work: 0.5,
+            bandwidth_kbps: 64,
+        };
+        gr.add_edge(a, b, NodeId::new(1), ServiceId::new(1), cost);
+        gr.add_edge(a, b, NodeId::new(1), ServiceId::new(2), cost);
+        gr.add_edge(b, c, NodeId::new(2), ServiceId::new(3), cost);
+        let mut view = PeerView::new();
+        for p in 1..=3 {
+            view.upsert(NodeId::new(p), PeerInfo::idle(100.0, 10_000));
+        }
+        let qos = QosSpec::with_deadline(SimDuration::from_secs(30));
+        let full = alloc_with(ExplorationMode::AllSimplePaths, AllocatorKind::MaxFairness)
+            .allocate(&gr, &view, a, &[c], &qos, None);
+        let bnb = alloc_with(ExplorationMode::BranchAndBound, AllocatorKind::MaxFairness).allocate(
+            &gr,
+            &view,
+            a,
+            &[c],
+            &qos,
+            None,
+        );
+        assert_identical(&full, &bnb);
+        let bnb = bnb.unwrap();
+        assert_eq!(bnb.stats.pruned_dominated, 1, "{:?}", bnb.stats);
+        assert_eq!(bnb.path, vec![EdgeId(0), EdgeId(2)]);
     }
 
     #[test]

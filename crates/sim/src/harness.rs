@@ -704,6 +704,7 @@ impl Simulation {
                 let labels = Labels::domain(rm.domain);
                 self.recorder
                     .add("alloc_explored_prefixes", labels, m.explored_prefixes);
+                self.recorder.add("alloc_truncated", labels, m.truncated);
                 self.recorder
                     .add("alloc_pruned_bound", labels, m.pruned_bound);
                 self.recorder

@@ -71,8 +71,9 @@ fn finish(n: usize, sum: f64, sum_sq: f64) -> f64 {
 /// for branch-and-bound search: no feasible completion — which can only
 /// add work, in total at most `budget` — can score higher.
 ///
-/// A non-positive budget returns the current index; an empty slice
-/// returns 1.0 (matching [`fairness_index`]).
+/// A non-positive budget returns the current index; no loads returns
+/// 1.0 (matching [`fairness_index`]). The loads are read only up to the
+/// water line, so a lazily merged sequence is produced only that far.
 ///
 /// # Examples
 ///
@@ -81,13 +82,18 @@ fn finish(n: usize, sum: f64, sum_sq: f64) -> f64 {
 /// let loads = [0.0, 4.0, 8.0];
 /// let (t, q) = (12.0, 80.0);
 /// // Enough budget to equalise: the bound reaches 1 (up to rounding).
-/// assert!(fairness_upper_bound(&loads, t, q, 100.0) >= 1.0 - 1e-12);
+/// assert!(fairness_upper_bound(loads, t, q, 100.0) >= 1.0 - 1e-12);
 /// // No budget: the bound is the current fairness.
-/// let f = fairness_upper_bound(&loads, t, q, 0.0);
+/// let f = fairness_upper_bound(loads, t, q, 0.0);
 /// assert!((f - fairness_index(&loads)).abs() < 1e-12);
 /// ```
-pub fn fairness_upper_bound(sorted_loads: &[f64], total: f64, total_sq: f64, budget: f64) -> f64 {
-    let n = sorted_loads.len();
+pub fn fairness_upper_bound<I>(sorted_loads: I, total: f64, total_sq: f64, budget: f64) -> f64
+where
+    I: IntoIterator<Item = f64>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let mut loads = sorted_loads.into_iter().peekable();
+    let n = loads.len();
     if n == 0 {
         return 1.0;
     }
@@ -101,13 +107,12 @@ pub fn fairness_upper_bound(sorted_loads: &[f64], total: f64, total_sq: f64, bud
     let mut q_m = 0.0; // sum of their squares
     let mut m = 0usize;
     let mut level = 0.0;
-    while m < n {
-        let v = sorted_loads[m];
+    while let Some(v) = loads.next() {
         s_m += v;
         q_m += v * v;
         m += 1;
         level = (s_m + budget) / m as f64;
-        if m < n && level <= sorted_loads[m] {
+        if loads.peek().is_some_and(|&next| level <= next) {
             break;
         }
     }
